@@ -162,6 +162,7 @@ fn write_value(
 // ----------------------------------------------------------------- parser --
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -328,12 +329,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let text = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a char boundary of the
+                    // (already valid) input text; an unterminated string
+                    // runs to the end and fails on the next peek.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    s.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -388,6 +393,7 @@ impl<'a> Parser<'a> {
 /// Parse JSON text into a value tree.
 pub fn parse_value(text: &str) -> Result<Value> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -439,6 +445,17 @@ mod tests {
         let json = to_string(&s.to_string()).unwrap();
         let back: String = from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn long_mixed_strings_roundtrip() {
+        // Multi-byte characters next to escapes, long enough that a
+        // per-character rescan of the document would be quadratic.
+        let unit = "plain ascii é 💡 \"quoted\" back\\slash\n\ttab ñ 日本 ";
+        let s = unit.repeat(4000);
+        let json = to_string(&vec![s.clone(), "after".to_string()]).unwrap();
+        let back: Vec<String> = from_str(&json).unwrap();
+        assert_eq!(back, vec![s, "after".to_string()]);
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod timing;
 
 pub use chaos::{run_chaos_cell, run_chaos_sweep, ChaosCell};
 pub use experiments::{run_cell, run_matrix, run_matrix_for, MatrixCell, MatrixConfig};
-pub use perf::{run_bench, run_bench_on, BenchReport};
+pub use perf::{run_bench, BenchReport};
 pub use pool::run_parallel;
 pub use timing::{loaded_estimator, sample_values, state_compute_time, TABLE1_SIZES};

@@ -106,31 +106,9 @@ pub struct MatrixSpeedup {
     pub identical: bool,
 }
 
-/// Serial vs category-sharded rebucket wall time at one record count: one
-/// allocator with its records spread over `categories` categories, forced
-/// through a full [`Allocator::rebucket_all`] sweep at `threads = 1` and
-/// at the detected thread count.
-#[derive(Debug, Clone, Serialize)]
-pub struct RebucketParallelRow {
-    /// Total records across all categories.
-    pub records: usize,
-    /// Category shards the records are spread over.
-    pub categories: usize,
-    /// Worker threads the sharded run used.
-    pub threads: usize,
-    /// Wall-clock milliseconds for the serial (`threads = 1`) sweep.
-    pub serial_ms: f64,
-    /// Wall-clock milliseconds for the sharded sweep.
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
-    /// Whether both sweeps returned identical rebucket results.
-    pub identical: bool,
-}
-
 /// Per-request prediction latency of a warm serve-style allocator: the
 /// quantiles a `tora serve` tenant sees when every answer comes from
-/// [`Allocator::predict_first_batch`] against a 10k-record estimator bank.
+/// [`Allocator::predict_first`] against a 10k-record estimator bank.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeLatencyRow {
     /// Categories in the requested batch (1 = a single `Submit`, larger =
@@ -140,8 +118,6 @@ pub struct ServeLatencyRow {
     pub records: usize,
     /// Category shards the records are spread over.
     pub categories: usize,
-    /// Worker threads the batch call used.
-    pub threads: usize,
     /// Timed request count.
     pub samples: usize,
     /// Median per-request latency, microseconds.
@@ -163,9 +139,6 @@ pub struct BenchReport {
     pub prediction: Vec<PredictionRate>,
     /// Rebucket latency, fast vs faithful, at Table I-like scales.
     pub rebucket: Vec<RebucketRow>,
-    /// Serial vs category-sharded rebucket sweep, with the identity
-    /// cross-check.
-    pub rebucket_parallel: Vec<RebucketParallelRow>,
     /// Engine throughput.
     pub end_to_end: EndToEndRow,
     /// Engine scaling curve over the streaming workload path
@@ -174,9 +147,10 @@ pub struct BenchReport {
     /// Worker threads detected on this machine (`TORA_THREADS` override,
     /// else the available parallelism capped by the cgroup CPU quota).
     pub threads_detected: usize,
-    /// Worker threads the parallel measurements actually ran on (detected,
-    /// capped by the widest fan-out). On a 1-core box this honestly reads
-    /// `1` — the speedups alongside it are measured, not assumed.
+    /// Worker threads the parallel experiment runner actually ran on
+    /// (detected, capped by the matrix's cell count). On a 1-core box this
+    /// honestly reads `1` — the speedup alongside it is measured, not
+    /// assumed.
     pub threads_used: usize,
     /// Parallel-runner speedup with the byte-identical cross-check.
     pub matrix: MatrixSpeedup,
@@ -343,9 +317,8 @@ fn scaling_curve(quick: bool, seed: u64) -> Vec<ScalingRow> {
 }
 
 /// An allocator with `n` records spread round-robin over `categories`
-/// category shards, estimators still holding everything as pending — the
-/// state a full rebucket sweep starts from.
-fn sharded_allocator(n: usize, categories: usize, seed: u64) -> Allocator {
+/// categories, estimators still holding everything as pending.
+fn multi_category_allocator(n: usize, categories: usize, seed: u64) -> Allocator {
     let mut allocator = Allocator::new(AlgorithmKind::ExhaustiveBucketing, seed);
     for (i, v) in sample_values(n, seed).into_iter().enumerate() {
         let peak = ResourceVector::new(1.0 + (i % 4) as f64, v, v * 0.5);
@@ -355,68 +328,39 @@ fn sharded_allocator(n: usize, categories: usize, seed: u64) -> Allocator {
     allocator
 }
 
-/// Serial vs category-sharded full-rebucket sweep at growing record
-/// counts. Identically-fed allocators, identical results enforced; only
-/// the wall clock differs.
-fn rebucket_parallel_rows(quick: bool, seed: u64, threads: usize) -> Vec<RebucketParallelRow> {
-    let sizes: &[usize] = if quick {
-        &[1000, 5000]
-    } else {
-        &[1000, 5000, 10_000]
-    };
-    let categories = 8;
-    sizes
-        .iter()
-        .map(|&n| {
-            let mut serial = sharded_allocator(n, categories, seed);
-            let start = Instant::now();
-            let serial_result = serial.rebucket_all(1);
-            let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-            let mut sharded = sharded_allocator(n, categories, seed);
-            let start = Instant::now();
-            let sharded_result = sharded.rebucket_all(threads);
-            let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-            RebucketParallelRow {
-                records: n,
-                categories,
-                threads,
-                serial_ms,
-                parallel_ms,
-                speedup: serial_ms / parallel_ms.max(f64::MIN_POSITIVE),
-                identical: serial_result == sharded_result,
-            }
-        })
-        .collect()
-}
-
-/// The `tora serve` hot path: per-request latency quantiles of
-/// `predict_first_batch` against a warm 10k-record, 8-category allocator.
+/// The `tora serve` hot path: per-request latency quantiles of a batch of
+/// `predict_first` calls against a warm 10k-record, 8-category allocator.
 /// The bank is rebucketed before timing (a daemon's steady state — pending
 /// records committed, bucket tables built), then each timed request is one
-/// batch call, exactly what a `Submit`/`Predict` line costs the daemon.
-fn serve_latency_rows(quick: bool, seed: u64, threads: usize) -> Vec<ServeLatencyRow> {
+/// batch, exactly what a `Submit`/`Predict` line costs the daemon.
+fn serve_latency_rows(quick: bool, seed: u64) -> Vec<ServeLatencyRow> {
     use tora_alloc::task::CategoryId;
     let records = 10_000;
     let categories = 8;
     let samples = if quick { 300 } else { 3000 };
-    let mut allocator = sharded_allocator(records, categories, seed);
+    let mut allocator = multi_category_allocator(records, categories, seed);
     // Commit the pending records and build every bucket table up front;
     // the first prediction would otherwise pay the one-time rebucket cost.
-    std::hint::black_box(allocator.rebucket_all(threads));
+    std::hint::black_box(allocator.rebucket_all());
     [1usize, 64]
         .into_iter()
         .map(|batch| {
             let requests: Vec<CategoryId> = (0..batch)
                 .map(|i| CategoryId((i % categories) as u32))
                 .collect();
+            let request = |allocator: &mut Allocator| {
+                for &c in &requests {
+                    std::hint::black_box(allocator.predict_first(c));
+                }
+            };
             // Warm-up outside the window.
             for _ in 0..8 {
-                std::hint::black_box(allocator.predict_first_batch(&requests, threads));
+                request(&mut allocator);
             }
             let mut lat_us: Vec<f64> = (0..samples)
                 .map(|_| {
                     let start = Instant::now();
-                    std::hint::black_box(allocator.predict_first_batch(&requests, threads));
+                    request(&mut allocator);
                     micros(start.elapsed())
                 })
                 .collect();
@@ -426,7 +370,6 @@ fn serve_latency_rows(quick: bool, seed: u64, threads: usize) -> Vec<ServeLatenc
                 batch,
                 records,
                 categories,
-                threads,
                 samples,
                 p50_us: at(0.50),
                 p99_us: at(0.99),
@@ -481,13 +424,9 @@ fn matrix_speedup(quick: bool, seed: u64) -> MatrixSpeedup {
 
 /// Run the full benchmark suite. `quick` shrinks iteration counts and the
 /// matrix so the whole thing finishes in a few seconds (the CI smoke mode).
+/// The parallel experiment runner sizes itself from
+/// [`tora_alloc::par::detected_threads`] (`TORA_THREADS` override).
 pub fn run_bench(quick: bool, seed: u64) -> BenchReport {
-    run_bench_on(quick, seed, 0)
-}
-
-/// [`run_bench`] with an explicit worker-thread count for the sharded
-/// measurements (`tora bench --threads`); `0` auto-detects.
-pub fn run_bench_on(quick: bool, seed: u64, threads: usize) -> BenchReport {
     let (pred_n, pred_iters) = if quick {
         (1000, 20_000)
     } else {
@@ -497,28 +436,18 @@ pub fn run_bench_on(quick: bool, seed: u64, threads: usize) -> BenchReport {
         prediction_rate(GreedyBucketing::new(), pred_n, pred_iters, seed),
         prediction_rate(ExhaustiveBucketing::new(), pred_n, pred_iters, seed),
     ];
-    let threads_detected = tora_alloc::par::detected_threads();
-    let threads = if threads == 0 {
-        threads_detected
-    } else {
-        threads
-    };
     let matrix = matrix_speedup(quick, seed);
-    // What the parallel measurements actually got to run on: the requested
-    // count capped by the widest fan-out. `1` on a 1-core box — honest.
-    let threads_used = threads.min(matrix.cells.max(1)).max(1);
     BenchReport {
         seed,
         quick,
         prediction,
         rebucket: rebucket_rows(quick, seed),
-        rebucket_parallel: rebucket_parallel_rows(quick, seed, threads),
         end_to_end: end_to_end(quick, seed),
         scaling: scaling_curve(quick, seed),
-        threads_detected,
-        threads_used,
+        threads_detected: tora_alloc::par::detected_threads(),
+        threads_used: matrix.threads,
         matrix,
-        serve_latency: serve_latency_rows(quick, seed, threads),
+        serve_latency: serve_latency_rows(quick, seed),
         // Cheap either way (6 runs of a 34-task diamond) — quick keeps it.
         fig_dag: fig_dag_rows(seed),
         // Four serial replays of a 600-task workload — also cheap enough
@@ -580,31 +509,6 @@ impl BenchReport {
                 r.tasks.to_string(),
                 format!("{:.2}", r.wall_s),
                 format!("{:.0}", r.tasks_per_sec),
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-        let mut t = Table::new(
-            "rebucket sweep: serial vs category-sharded",
-            &[
-                "records",
-                "categories",
-                "threads",
-                "serial (ms)",
-                "sharded (ms)",
-                "speedup",
-                "identical",
-            ],
-        );
-        for r in &self.rebucket_parallel {
-            t.row(&[
-                r.records.to_string(),
-                r.categories.to_string(),
-                r.threads.to_string(),
-                format!("{:.2}", r.serial_ms),
-                format!("{:.2}", r.parallel_ms),
-                format!("{:.1}×", r.speedup),
-                if r.identical { "yes" } else { "NO (bug!)" }.to_string(),
             ]);
         }
         out.push_str(&t.render());
@@ -727,16 +631,6 @@ mod tests {
         assert!(report.threads_detected >= 1);
         assert!(report.threads_used >= 1);
         assert!(report.threads_used <= report.threads_detected);
-        // quick: 2 record counts, each with the serial-vs-sharded identity
-        // cross-check holding.
-        assert_eq!(report.rebucket_parallel.len(), 2);
-        for r in &report.rebucket_parallel {
-            assert!(r.serial_ms > 0.0 && r.parallel_ms > 0.0, "{r:?}");
-            assert!(
-                r.identical,
-                "serial and sharded rebucket sweeps must agree: {r:?}"
-            );
-        }
         assert_eq!(report.matrix.cells, 6);
         assert!(
             report.matrix.identical,

@@ -1,28 +1,21 @@
 //! Per-category allocator shards.
 //!
 //! The paper's allocator "treats each category of tasks independently and
-//! uses a separate instance of a bucketing manager per category" (§IV-D) —
-//! the allocation problem is partitionable by construction, POP-style. A
-//! [`CategoryShard`] is that partition made concrete: one category's
+//! uses a separate instance of a bucketing manager per category" (§IV-D).
+//! A [`CategoryShard`] is that partition made concrete: one category's
 //! estimator bank, record count, **and its own RNG stream**, with no
-//! reference to any other category. Shards are `Send` (estimators are
-//! `Box<dyn ValueEstimator>` and [`ValueEstimator`] requires `Send`), so
-//! distinct categories can be predicted and rebucketed on different scoped
-//! threads and merged deterministically.
+//! reference to any other category.
 //!
 //! ## Determinism
-//!
-//! Two properties make the parallel path byte-identical to the serial one:
 //!
 //! * **Per-category RNG streams.** Each shard's RNG is seeded
 //!   `seed ^ category`, so the draws one category consumes are independent
 //!   of how calls to *other* categories interleave. A single-category
-//!   workflow (category 0) sees the very same stream the old
-//!   allocator-global RNG produced, since `seed ^ 0 == seed`.
+//!   workflow (category 0) sees the very same stream an allocator-global
+//!   RNG would produce, since `seed ^ 0 == seed`.
 //! * **Buffered trace events.** The prediction cores never emit into a sink;
 //!   they append to a caller-supplied buffer (`None` compiles tracing out,
-//!   preserving the zero-cost guarantee). The caller — serial or batched —
-//!   owns the ordering and emits buffers in request order.
+//!   preserving the zero-cost guarantee), which the allocator then emits.
 
 use crate::estimator::{double_allocation, AllocSource, RebucketInfo, ValueEstimator};
 use crate::resources::{ResourceKind, ResourceMask, ResourceVector};
@@ -34,8 +27,7 @@ use rand::{Rng, SeedableRng};
 use super::types::{AllocationDecision, AllocatorConfig, EstimatorFactory};
 
 /// One category's slice of allocator state: estimator bank, record count,
-/// and a private RNG stream. See the module docs for why this is the unit
-/// of parallelism.
+/// and a private RNG stream.
 pub(crate) struct CategoryShard {
     category: CategoryId,
     estimators: Vec<(ResourceKind, Box<dyn ValueEstimator>)>,

@@ -541,21 +541,19 @@ fn batched_predictions_match_serial_calls_byte_for_byte() {
         AlgorithmKind::GreedyBucketing,
         AlgorithmKind::MaxSeen,
     ] {
-        for threads in [1, 2, 4, 9] {
-            let (mut serial, mut batched) = seeded_pair(algorithm, 9, 3);
-            // A mixed batch: three steady categories interleaved plus one
-            // category (3) that is still exploratory.
-            let requests: Vec<CategoryId> = (0..25).map(|i| CategoryId((i % 4) as u32)).collect();
-            let want: Vec<AllocationDecision> =
-                requests.iter().map(|&c| serial.predict_first(c)).collect();
-            let got = batched.predict_first_batch(&requests, threads);
-            assert_eq!(want, got, "{algorithm} decisions at threads={threads}");
-            assert_eq!(
-                serial.sink().events,
-                batched.sink().events,
-                "{algorithm} trace at threads={threads}"
-            );
-        }
+        let (mut serial, mut batched) = seeded_pair(algorithm, 9, 3);
+        // A mixed batch: three steady categories interleaved plus one
+        // category (3) that is still exploratory.
+        let requests: Vec<CategoryId> = (0..25).map(|i| CategoryId((i % 4) as u32)).collect();
+        let want: Vec<AllocationDecision> =
+            requests.iter().map(|&c| serial.predict_first(c)).collect();
+        let got = batched.predict_first_batch(&requests, 0);
+        assert_eq!(want, got, "{algorithm} decisions");
+        assert_eq!(
+            serial.sink().events,
+            batched.sink().events,
+            "{algorithm} trace"
+        );
     }
 }
 
@@ -568,11 +566,11 @@ fn batched_predictions_leave_rng_streams_where_serial_calls_do() {
     let phase1: Vec<CategoryId> = (0..10).map(|i| CategoryId((i % 2) as u32)).collect();
     let mut want: Vec<AllocationDecision> =
         phase1.iter().map(|&c| reference.predict_first(c)).collect();
-    let mut got = mixed.predict_first_batch(&phase1, 4);
+    let mut got = mixed.predict_first_batch(&phase1, 0);
     want.push(reference.predict_first(CategoryId(1)));
     got.push(mixed.predict_first(CategoryId(1)));
     want.extend(phase1.iter().map(|&c| reference.predict_first(c)));
-    got.extend(mixed.predict_first_batch(&phase1, 4));
+    got.extend(mixed.predict_first_batch(&phase1, 0));
     assert_eq!(want, got);
     assert_eq!(reference.sink().events, mixed.sink().events);
 }
@@ -581,28 +579,30 @@ fn batched_predictions_leave_rng_streams_where_serial_calls_do() {
 fn empty_batch_is_a_no_op() {
     let (mut serial, mut batched) = seeded_pair(AlgorithmKind::GreedyBucketing, 3, 2);
     assert!(batched
-        .predict_first_batch(&[] as &[CategoryId], 4)
+        .predict_first_batch(&[] as &[CategoryId], 0)
         .is_empty());
     let c = CategoryId(0);
     assert_eq!(serial.predict_first(c), batched.predict_first(c));
 }
 
 #[test]
-fn rebucket_all_is_category_ordered_and_thread_count_invariant() {
-    let (mut one, mut four) = seeded_pair(AlgorithmKind::ExhaustiveBucketing, 5, 3);
-    let a = one.rebucket_all(1);
-    let b = four.rebucket_all(4);
-    assert_eq!(a, b);
-    assert_eq!(one.sink().events, four.sink().events);
+fn rebucket_all_is_category_ordered_and_matches_per_axis_rebuckets() {
+    let (mut swept, mut single) = seeded_pair(AlgorithmKind::ExhaustiveBucketing, 5, 3);
+    let a = swept.rebucket_all();
     // Three categories × three managed axes, in ascending category order.
     assert_eq!(a.len(), 9);
     let cats: Vec<u32> = a.iter().map(|(c, _, _)| c.0).collect();
     let mut sorted = cats.clone();
     sorted.sort_unstable();
     assert_eq!(cats, sorted);
-    // A second sweep with no new observations has nothing new to fold, but
-    // forced rebuilds still report (version bumps); the two paths agree.
-    assert_eq!(one.rebucket_all(4), four.rebucket_all(1));
+    // The sweep is the per-pair `rebucket` calls in that order, trace
+    // included.
+    let b: Vec<_> = a
+        .iter()
+        .map(|&(c, k, _)| (c, k, single.rebucket(c, k).expect("pair rebuckets")))
+        .collect();
+    assert_eq!(a, b);
+    assert_eq!(swept.sink().events, single.sink().events);
 }
 
 #[test]
@@ -613,5 +613,5 @@ fn single_category_streams_match_the_legacy_global_rng() {
     let (mut serial, mut batched) = seeded_pair(AlgorithmKind::GreedyBucketing, 42, 1);
     let requests = vec![CategoryId(0); 8];
     let want: Vec<AllocationDecision> = requests.iter().map(|&c| serial.predict_first(c)).collect();
-    assert_eq!(batched.predict_first_batch(&requests, 4), want);
+    assert_eq!(batched.predict_first_batch(&requests, 0), want);
 }

@@ -26,7 +26,7 @@
 //! low-support fallback, so pipeline stages with different profiles learn
 //! separate optima. Selection is ε-greedy driven entirely by the caller's
 //! uniform draw — the policy consumes no RNG of its own, which keeps the
-//! allocator's thread-count byte parity intact.
+//! allocator's per-category draw sequence intact.
 
 use crate::estimator::{double_allocation, Prediction, ValueEstimator};
 use crate::task::{TaskContext, TaskFeatures};

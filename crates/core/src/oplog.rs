@@ -38,11 +38,10 @@ pub enum AllocOp {
         /// The record as it was ingested.
         record: ResourceRecord,
     },
-    /// [`Allocator::predict_first_batch`] — a batch of first-attempt
-    /// predictions in request order. A single serial
-    /// [`Allocator::predict_first`] is a batch of one; journaling the batch
-    /// shape (rather than flattening) keeps the log a faithful transcript
-    /// while producing the identical draw sequence either way.
+    /// A batch of first-attempt predictions in request order, one
+    /// [`Allocator::predict_first`] call each. A single call is a batch of
+    /// one; journaling the batch shape (rather than flattening) keeps the
+    /// log a faithful transcript of the requests that produced it.
     PredictFirstBatch {
         /// Requested task contexts, in request order. The feature vectors
         /// matter: a feature-conditioned estimator answers differently per
@@ -106,18 +105,18 @@ impl AllocLog {
     ///
     /// `allocator` must be freshly built with the same algorithm, config and
     /// seed as the journaled one — replay makes no attempt to verify this.
-    /// `threads` only changes how batched ops are scheduled; the resulting
-    /// state is byte-identical at any value (the sharded paths' determinism
-    /// guarantee). Prediction results are recomputed and discarded — the
-    /// point of replaying them is their RNG consumption, not their answers.
-    pub fn replay<S: EventSink>(&self, allocator: &mut Allocator<S>, threads: usize) {
+    /// Prediction results are recomputed and discarded — the point of
+    /// replaying them is their RNG consumption, not their answers.
+    pub fn replay<S: EventSink>(&self, allocator: &mut Allocator<S>) {
         for op in &self.ops {
             match op {
                 AllocOp::Observe { record } => {
                     allocator.observe(record);
                 }
                 AllocOp::PredictFirstBatch { contexts } => {
-                    allocator.predict_first_batch(contexts, threads);
+                    for &context in contexts {
+                        allocator.predict_first(context);
+                    }
                 }
                 AllocOp::PredictRetry {
                     context,
@@ -134,7 +133,7 @@ impl AllocLog {
                     allocator.observe_outcome(*category, *outcome, *rack);
                 }
                 AllocOp::RebucketAll => {
-                    allocator.rebucket_all(threads);
+                    allocator.rebucket_all();
                 }
             }
         }
@@ -157,59 +156,59 @@ mod tests {
     /// draws, which only match if the RNG positions match.
     #[test]
     fn replay_reproduces_state_byte_identically() {
-        for threads in [1usize, 4] {
-            let mut log = AllocLog::new();
-            let mut live = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
-            for i in 0..30u64 {
-                let r = record(i, (i % 3) as u32, 1.0 + (i % 5) as f64);
-                log.push(AllocOp::Observe { record: r });
-                live.observe(&r);
-            }
-            let batch: Vec<TaskContext> = (0..6)
-                .map(|i| TaskContext::from(CategoryId(i % 3)))
-                .collect();
-            log.push(AllocOp::PredictFirstBatch {
-                contexts: batch.clone(),
-            });
-            live.predict_first_batch(&batch, 1);
-            log.push(AllocOp::RebucketAll);
-            live.rebucket_all(1);
-            let prev = ResourceVector::new(1.0, 100.0, 10.0);
-            let exhausted = ResourceMask::only(crate::resources::ResourceKind::MemoryMb);
-            let retry_ctx = TaskContext::from(CategoryId(1));
-            log.push(AllocOp::PredictRetry {
-                context: retry_ctx,
-                prev,
-                exhausted,
-            });
-            live.predict_retry(retry_ctx, &prev, &exhausted);
-            log.push(AllocOp::ObserveOutcome {
-                category: CategoryId(0),
-                outcome: AttemptFeedback::Crash,
-                rack: Some(2),
-            });
-            live.observe_outcome(CategoryId(0), AttemptFeedback::Crash, Some(2));
-
-            let mut restored = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
-            log.replay(&mut restored, threads);
-
-            // Identical state ⇒ identical future behavior: compare the next
-            // predictions (draw-consuming) and a rebucket sweep.
-            let probe: Vec<CategoryId> = (0..9).map(|i| CategoryId(i % 3)).collect();
-            let a = live.predict_first_batch(&probe, 1);
-            let b = restored.predict_first_batch(&probe, 1);
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "threads={threads}: predictions diverged after replay"
-            );
-            assert_eq!(
-                format!("{:?}", live.rebucket_all(1)),
-                format!("{:?}", restored.rebucket_all(1)),
-                "threads={threads}: rebucket state diverged after replay"
-            );
-            assert_eq!(live.windowed_fault_rate(), restored.windowed_fault_rate());
+        let mut log = AllocLog::new();
+        let mut live = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
+        for i in 0..30u64 {
+            let r = record(i, (i % 3) as u32, 1.0 + (i % 5) as f64);
+            log.push(AllocOp::Observe { record: r });
+            live.observe(&r);
         }
+        let batch: Vec<TaskContext> = (0..6)
+            .map(|i| TaskContext::from(CategoryId(i % 3)))
+            .collect();
+        log.push(AllocOp::PredictFirstBatch {
+            contexts: batch.clone(),
+        });
+        for &ctx in &batch {
+            live.predict_first(ctx);
+        }
+        log.push(AllocOp::RebucketAll);
+        live.rebucket_all();
+        let prev = ResourceVector::new(1.0, 100.0, 10.0);
+        let exhausted = ResourceMask::only(crate::resources::ResourceKind::MemoryMb);
+        let retry_ctx = TaskContext::from(CategoryId(1));
+        log.push(AllocOp::PredictRetry {
+            context: retry_ctx,
+            prev,
+            exhausted,
+        });
+        live.predict_retry(retry_ctx, &prev, &exhausted);
+        log.push(AllocOp::ObserveOutcome {
+            category: CategoryId(0),
+            outcome: AttemptFeedback::Crash,
+            rack: Some(2),
+        });
+        live.observe_outcome(CategoryId(0), AttemptFeedback::Crash, Some(2));
+
+        let mut restored = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
+        log.replay(&mut restored);
+
+        // Identical state ⇒ identical future behavior: compare the next
+        // predictions (draw-consuming) and a rebucket sweep.
+        let probe: Vec<CategoryId> = (0..9).map(|i| CategoryId(i % 3)).collect();
+        let a: Vec<_> = probe.iter().map(|&c| live.predict_first(c)).collect();
+        let b: Vec<_> = probe.iter().map(|&c| restored.predict_first(c)).collect();
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "predictions diverged after replay"
+        );
+        assert_eq!(
+            format!("{:?}", live.rebucket_all()),
+            format!("{:?}", restored.rebucket_all()),
+            "rebucket state diverged after replay"
+        );
+        assert_eq!(live.windowed_fault_rate(), restored.windowed_fault_rate());
     }
 
     #[test]

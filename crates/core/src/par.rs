@@ -1,7 +1,9 @@
-//! Honest thread detection and a deterministic scoped parallel map.
+//! Honest thread detection.
 //!
-//! Everything parallel in the workspace sizes itself through this module, so
-//! the worker count is decided in exactly one place, with one precedence:
+//! The only parallelism in the workspace is job-level: independent
+//! experiment cells and simulations fanned across a scoped-thread pool
+//! (`tora_bench::pool`). That pool sizes itself through this module, so the
+//! worker count is decided in exactly one place, with one precedence:
 //!
 //! 1. **`TORA_THREADS`** — explicit operator override (≥ 1);
 //! 2. **cgroup CPU quota** — inside a container the kernel caps runnable
@@ -15,11 +17,6 @@
 //! "speedup" of 0.97×. `BENCH.json` records both `threads_detected` (this
 //! module's answer) and `threads_used` (what a run actually spent), so a
 //! 1-core box honestly reports `threads_used: 1` instead of a fake speedup.
-//!
-//! [`par_map_mut`] is the execution half: a scoped-thread map over mutable
-//! items (the allocator's category shards) that preserves item order in its
-//! results and degenerates to a plain serial loop at `threads == 1`, so the
-//! parallel and serial paths are the same code.
 
 use std::num::NonZeroUsize;
 
@@ -87,65 +84,10 @@ pub fn detected_threads() -> usize {
     }
 }
 
-/// Resolve an explicit thread-count request: `0` means "auto"
-/// ([`detected_threads`]); any other value is taken as-is.
-pub fn resolve(requested: usize) -> usize {
-    if requested == 0 {
-        detected_threads()
-    } else {
-        requested
-    }
-}
-
 /// Worker threads to use for `jobs` independent items: the detected count,
 /// never more than the job count, never less than one.
 pub fn thread_count(jobs: usize) -> usize {
     detected_threads().min(jobs.max(1))
-}
-
-/// Map `f` over `items` on up to `threads` scoped worker threads, returning
-/// results in item order.
-///
-/// Items are split into contiguous balanced chunks, one worker per chunk,
-/// and each worker's results are concatenated in chunk order — so the
-/// output order (and therefore anything merged from it) is independent of
-/// scheduling. With `threads <= 1` (or one item) this is a plain serial
-/// `map` over the very same closure: the serial reference path and the
-/// parallel path cannot drift apart.
-pub fn par_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter_mut().map(&f).collect();
-    }
-    let workers = threads.min(n);
-    let base = n / workers;
-    let rem = n % workers;
-    let mut chunks: Vec<&mut [T]> = Vec::with_capacity(workers);
-    let mut rest = items;
-    for w in 0..workers {
-        let len = base + usize::from(w < rem);
-        let (head, tail) = rest.split_at_mut(len);
-        chunks.push(head);
-        rest = tail;
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let f = &f;
-                scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map_mut worker panicked"))
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -175,32 +117,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_and_bounds() {
+    fn detection_and_bounds() {
         assert!(detected_threads() >= 1);
-        assert_eq!(resolve(3), 3);
-        assert!(resolve(0) >= 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(0) >= 1);
         assert!(thread_count(2) <= 2);
-    }
-
-    #[test]
-    fn par_map_preserves_order_at_any_thread_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let want: Vec<u64> = items.iter().map(|i| i * 7 + 1).collect();
-        for threads in [1, 2, 3, 4, 16, 200] {
-            let mut mine = items.clone();
-            let got = par_map_mut(&mut mine, threads, |i| *i * 7 + 1);
-            assert_eq!(got, want, "threads={threads}");
-        }
-        let mut empty: Vec<u64> = Vec::new();
-        assert!(par_map_mut(&mut empty, 4, |i| *i).is_empty());
-    }
-
-    #[test]
-    fn par_map_mutations_land_in_every_item() {
-        let mut items: Vec<u64> = vec![0; 41];
-        par_map_mut(&mut items, 4, |i| *i += 1);
-        assert!(items.iter().all(|&i| i == 1));
     }
 }

@@ -71,60 +71,15 @@ impl<S: EventSink> Simulation<S> {
     }
 
     /// Predicted allocations for the first `visible` ready-queue entries,
-    /// as `(queue index, allocation)` pairs for the queue policy.
-    ///
-    /// Cache-missing entries are predicted as one batch through the
-    /// category-sharded allocator ([`predict_first_batch`]), fanning
-    /// distinct categories across the engine's worker threads. Because no
-    /// observation lands between the queue scan's predictions, the batch is
-    /// byte-identical — decisions, RNG consumption, trace events — to the
-    /// per-entry serial calls it replaces; the single-entry (FIFO) case
-    /// stays on the direct path.
-    ///
-    /// [`predict_first_batch`]: tora_alloc::allocator::Allocator::predict_first_batch
+    /// as `(queue index, allocation)` pairs for the queue policy, through
+    /// [`ensure_alloc`](Self::ensure_alloc) in queue order.
     fn predict_visible(&mut self, visible: usize) -> Vec<(usize, ResourceVector)> {
-        let mut queue = Vec::with_capacity(visible);
-        if visible == 1 {
-            let (task_idx, _) = self.ready[0];
-            let alloc = self.ensure_alloc(task_idx);
-            queue.push((0, alloc));
-            return queue;
-        }
-        // (queue index, task index) of entries whose cached prediction is
-        // missing or stale; everyone else reuses their cache, exactly as
-        // `ensure_alloc` would.
-        let mut misses: Vec<(usize, usize)> = Vec::new();
-        for qi in 0..visible {
-            let (task_idx, _) = self.ready[qi];
-            let state = &self.tasks[task_idx];
-            match state.next_alloc {
-                Some(a) if state.pinned || state.predicted_epoch == self.alloc_epoch => {
-                    queue.push((qi, a));
-                }
-                _ => {
-                    misses.push((qi, task_idx));
-                    queue.push((qi, ResourceVector::ZERO)); // patched below
-                }
-            }
-        }
-        if !misses.is_empty() {
-            let contexts: Vec<TaskContext> = misses
-                .iter()
-                .map(|&(_, task_idx)| TaskContext::from(&self.specs[task_idx]))
-                .collect();
-            let decisions = self.allocator.predict_first_batch(&contexts, self.threads);
-            for (&(qi, task_idx), decision) in misses.iter().zip(decisions) {
-                let category = self.specs[task_idx].category;
-                self.stats.record_predict_first(category.0);
-                let alloc = decision.into_alloc();
-                let state = &mut self.tasks[task_idx];
-                state.next_alloc = Some(alloc);
-                state.predicted_epoch = self.alloc_epoch;
-                state.pinned = false;
-                queue[qi].1 = alloc;
-            }
-        }
-        queue
+        (0..visible)
+            .map(|qi| {
+                let (task_idx, _) = self.ready[qi];
+                (qi, self.ensure_alloc(task_idx))
+            })
+            .collect()
     }
 
     /// Drop stale ready-queue entries (their task's queue token moved on,

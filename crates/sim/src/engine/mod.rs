@@ -145,13 +145,6 @@ pub struct SimConfig {
     /// compiles the channel out of the decision path entirely.
     #[serde(default)]
     pub fault_policy: Option<FaultPolicy>,
-    /// Worker threads for the allocator's category-sharded prediction and
-    /// rebucketing paths. `0` (the default) auto-detects via
-    /// [`tora_alloc::par::detected_threads`] (`TORA_THREADS` override,
-    /// cgroup CPU quota, hardware parallelism, in that order). Output is
-    /// byte-identical at any value — this knob trades wall-clock only.
-    #[serde(default)]
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -167,7 +160,6 @@ impl Default for SimConfig {
             seed: 0,
             faults: FaultPlan::none(),
             fault_policy: None,
-            threads: 0,
         }
     }
 }
@@ -189,7 +181,6 @@ impl SimConfig {
             seed,
             faults: FaultPlan::none(),
             fault_policy: None,
-            threads: 0,
         }
     }
 }
@@ -351,10 +342,6 @@ pub struct Simulation<S: EventSink = NoopSink> {
     stats: SimStats,
     /// Bumped on every observation; invalidates unpinned cached predictions.
     alloc_epoch: u64,
-    /// Resolved allocator worker-thread count (`config.threads`, with `0`
-    /// auto-detected at construction). Purely a wall-clock knob: the
-    /// category-sharded allocator is byte-identical at any value.
-    threads: usize,
     /// Lifetime count of workers that ever joined (including the initial
     /// pool); drives the deterministic round-robin rack assignment.
     joined_workers: u64,
@@ -462,7 +449,6 @@ impl Simulation {
             worker_range: self.worker_range,
             stats: self.stats,
             alloc_epoch: self.alloc_epoch,
-            threads: self.threads,
             joined_workers: self.joined_workers,
             peak_workers: self.peak_workers,
             log: self.log,
@@ -536,7 +522,6 @@ impl Simulation {
             worker_range: (initial_workers, initial_workers),
             stats: SimStats::new(),
             alloc_epoch: 0,
-            threads: tora_alloc::par::resolve(config.threads),
             joined_workers,
             peak_workers: initial_workers,
             log,

@@ -17,7 +17,9 @@
 //! deterministic in `--seed`.
 
 use std::process::ExitCode;
-use tora::cli::{parse_algorithm, parse_sim_config, parse_workflow, Args};
+use tora::cli::{
+    parse_algorithm, parse_sim_config, parse_workflow, Args, SIM_FLAGS, WORKFLOW_FLAGS,
+};
 use tora::metrics::{attempts_histogram, pct, rolling_awe, steady_state_onset, Table};
 use tora::prelude::*;
 use tora::workloads::{io as trace_io, PaperWorkflow};
@@ -90,9 +92,6 @@ fn print_usage() {
            --arrival <spec>      batch | poisson:<mean-s>  (default poisson:1.5)\n\
            --policy <name>       fifo | fifo-backfill | smallest-first | largest-first\n\
            --enforcement <name>  ramp | instant  (default ramp)\n\
-           --threads <n>         worker threads for the sharded allocator paths\n\
-                                 (0 = auto: TORA_THREADS, else the cgroup-aware\n\
-                                 core count; results never depend on this)\n\
            --dag                 (topeft) use the Coffea dependency structure\n\
            --shape <name>        generated DAG structure: fan-out-fan-in |\n\
                                  pipeline | diamond | random-layered\n\
@@ -178,7 +177,7 @@ fn cmd_workflows() -> Result<(), String> {
 }
 
 fn cmd_generate(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[WORKFLOW_FLAGS, &["out"]].concat())?;
     let name = args
         .positional
         .first()
@@ -201,7 +200,16 @@ enum Mode {
 }
 
 fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let accepted = match mode {
+        Mode::Simulate => [
+            WORKFLOW_FLAGS,
+            SIM_FLAGS,
+            &["algorithm", "convergence", "log"],
+        ]
+        .concat(),
+        Mode::Replay => [WORKFLOW_FLAGS, &["algorithm", "enforcement", "convergence"]].concat(),
+    };
+    let args = Args::parse(raw, &accepted)?;
     let name = args
         .positional
         .first()
@@ -304,7 +312,10 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
 /// against the engine's own bookkeeping. A mismatch is a bug in one of the
 /// two bookkeepers, so it fails the command.
 fn cmd_trace(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(
+        raw,
+        &[WORKFLOW_FLAGS, SIM_FLAGS, &["algorithm", "out"]].concat(),
+    )?;
     let name = args
         .positional
         .first()
@@ -429,7 +440,8 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
 /// the CI smoke mode: a small fixed workload is run twice under the same
 /// seed and the two reports must be byte-identical.
 fn cmd_chaos(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let chaos_flags = ["algorithm", "plan", "feedback", "salvage", "quick", "out"];
+    let args = Args::parse(raw, &[WORKFLOW_FLAGS, SIM_FLAGS, &chaos_flags].concat())?;
     let plan_name = args.value_of("plan")?.unwrap_or("light");
     let plan = FaultPlan::named(plan_name).ok_or_else(|| {
         format!(
@@ -517,7 +529,7 @@ fn cmd_chaos(raw: &[String]) -> Result<(), String> {
 /// `--quick` shrinks iteration counts and the matrix to a CI-friendly smoke
 /// run; `--out` redirects the JSON report (default `BENCH.json`).
 fn cmd_bench(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["seed", "quick", "out"])?;
     let seed = args.seed()?;
     let quick = args.has("quick");
     let out = args.value_of("out")?.unwrap_or("BENCH.json");
@@ -525,7 +537,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
         "benchmarking hot paths (seed {seed}{})...",
         if quick { ", quick" } else { "" }
     );
-    let report = tora_bench::run_bench_on(quick, seed, args.threads()?);
+    let report = tora_bench::run_bench(quick, seed);
     print!("{}", report.render());
     let json = report.to_json().map_err(|e| e.to_string())?;
     std::fs::write(out, json).map_err(|e| e.to_string())?;
@@ -538,10 +550,9 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
 /// by default, or serves connections sequentially on a Unix socket with
 /// `--socket <path>`. `--workers <n>` sizes the shared pool in §V-A-shaped
 /// workers; `--restore <snapshot.json>` resumes a daemon snapshotted with
-/// the `Snapshot` request, byte-identically. `--threads` tunes the sharded
-/// prediction paths and never changes any answer.
+/// the `Snapshot` request, byte-identically.
 fn cmd_serve(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["workers", "restore", "socket"])?;
     let workers = match args.value_of("workers")? {
         None => 20,
         Some(v) => v
@@ -552,7 +563,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     };
     let config = tora::serve::ServeConfig {
         workers,
-        threads: args.threads()?,
+        ..Default::default()
     };
     let mut session = match args.value_of("restore")? {
         Some(path) => {
@@ -586,7 +597,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_matrix(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["seed", "algorithm"])?;
     let seed = args.seed()?;
     let algorithms: Vec<AlgorithmKind> = match args.value_of("algorithm")? {
         Some(name) => vec![parse_algorithm(name)?],

@@ -10,6 +10,15 @@
 use crate::prelude::*;
 use crate::workloads::{io as trace_io, PaperWorkflow};
 
+/// Flags [`parse_workflow`] reads.
+pub const WORKFLOW_FLAGS: &[&str] = &[
+    "seed", "tasks", "dag", "shape", "width", "depth", "loopback",
+];
+
+/// Flags [`parse_sim_config`] reads, apart from `--log`, which only
+/// `simulate` accepts (it is the one command that writes the event log).
+pub const SIM_FLAGS: &[&str] = &["seed", "workers", "arrival", "policy", "enforcement", "mix"];
+
 /// Simple `--flag value` / positional argument scanner.
 ///
 /// Flags take at most one value; a flag followed by another `--flag` is
@@ -23,12 +32,18 @@ pub struct Args<'a> {
 
 impl<'a> Args<'a> {
     /// Scan raw argv fragments into positionals and `--flag [value]` pairs.
-    pub fn parse(raw: &'a [String]) -> Result<Self, String> {
+    /// A flag outside `accepted` — the subcommand's flag list, names
+    /// without the leading `--` — is an error, so a typo never silently
+    /// falls back to a default.
+    pub fn parse(raw: &'a [String], accepted: &[&str]) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut iter = raw.iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
+                if !accepted.contains(&name) {
+                    return Err(format!("unknown flag --{name} (see `tora --help`)"));
+                }
                 let value = iter
                     .peek()
                     .filter(|v| !v.starts_with("--"))
@@ -83,18 +98,6 @@ impl<'a> Args<'a> {
         }
     }
 
-    /// `--threads <n>`: worker threads for the sharded allocator paths.
-    /// `0` (the default when the flag is absent) means auto-detect — the
-    /// `TORA_THREADS` env var, else the cgroup-aware core count.
-    pub fn threads(&self) -> Result<usize, String> {
-        match self.value_of("threads")? {
-            None => Ok(0),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad --threads `{v}` (0 = auto)")),
-        }
-    }
-
     /// Whether the flag appeared (with or without a value).
     pub fn has(&self, name: &str) -> bool {
         self.flag(name).is_some()
@@ -117,8 +120,7 @@ pub fn parse_algorithm(name: &str) -> Result<AlgorithmKind, String> {
 }
 
 /// Resolve a workflow: a `.json` trace file, or a built-in name plus the
-/// shaping flags (`--seed`, `--tasks`, `--dag`, `--shape`/`--width`/
-/// `--depth`/`--loopback`).
+/// shaping flags ([`WORKFLOW_FLAGS`]).
 pub fn parse_workflow(name_or_path: &str, args: &Args<'_>) -> Result<Workflow, String> {
     let seed = args.seed()?;
     if name_or_path.ends_with(".json") {
@@ -188,12 +190,10 @@ pub fn parse_workflow(name_or_path: &str, args: &Args<'_>) -> Result<Workflow, S
     }
 }
 
-/// Build a [`SimConfig`] from the common simulation flags (`--seed`,
-/// `--workers`, `--arrival`, `--policy`, `--enforcement`, `--mix`, `--log`,
-/// `--threads`).
+/// Build a [`SimConfig`] from the common simulation flags ([`SIM_FLAGS`])
+/// and `--log`.
 pub fn parse_sim_config(args: &Args<'_>) -> Result<SimConfig, String> {
     let mut config = SimConfig::paper_like(args.seed()?);
-    config.threads = args.threads()?;
     match args.value_of("workers")? {
         None | Some("paper") => {}
         Some(spec) => {
@@ -261,10 +261,17 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Scan `raw` with every flag the library parsers read accepted, plus
+    /// the presence-only ones the tests use.
+    fn scan(raw: &[String]) -> Args<'_> {
+        let accepted = [WORKFLOW_FLAGS, SIM_FLAGS, &["log", "quick", "salvage"]].concat();
+        Args::parse(raw, &accepted).expect("every flag is accepted")
+    }
+
     #[test]
     fn flags_and_positionals_scan() {
         let raw = raw(&["bimodal", "--seed", "7", "--quick", "--tasks", "120"]);
-        let args = Args::parse(&raw).unwrap();
+        let args = scan(&raw);
         assert_eq!(args.positional, vec!["bimodal"]);
         assert_eq!(args.seed().unwrap(), 7);
         assert!(args.has("quick"));
@@ -275,16 +282,16 @@ mod tests {
     #[test]
     fn salvage_parses_and_validates() {
         let ok = raw(&["--salvage", "0.5"]);
-        assert_eq!(Args::parse(&ok).unwrap().salvage().unwrap(), Some(0.5));
+        assert_eq!(scan(&ok).salvage().unwrap(), Some(0.5));
         let absent = raw(&["--quick"]);
-        assert_eq!(Args::parse(&absent).unwrap().salvage().unwrap(), None);
+        assert_eq!(scan(&absent).salvage().unwrap(), None);
         for bad in [
             &["--salvage", "1.5"][..],
             &["--salvage", "nan"],
             &["--salvage"],
         ] {
             let bad = raw(bad);
-            assert!(Args::parse(&bad).unwrap().salvage().is_err(), "{bad:?}");
+            assert!(scan(&bad).salvage().is_err(), "{bad:?}");
         }
     }
 
@@ -296,7 +303,7 @@ mod tests {
         );
         assert!(parse_algorithm("nope").is_err());
         let raw = raw(&["--tasks", "50", "--seed", "3"]);
-        let args = Args::parse(&raw).unwrap();
+        let args = scan(&raw);
         let wf = parse_workflow("bimodal", &args).unwrap();
         assert_eq!(wf.len(), 50);
         assert!(parse_workflow("nope", &args).is_err());
@@ -306,13 +313,13 @@ mod tests {
     fn shape_flags_parse_and_conflict() {
         // Defaults: width 4, depth 8, no loop-back → diamond is 4*8+2 tasks.
         let diamond = raw(&["--shape", "diamond", "--seed", "3"]);
-        let args = Args::parse(&diamond).unwrap();
+        let args = scan(&diamond);
         let wf = parse_workflow("bimodal", &args).unwrap();
         assert_eq!(wf.len(), 34);
         assert!(wf.has_dependencies());
 
         let pipeline = raw(&["--shape", "pipeline", "--depth", "12", "--loopback", "0"]);
-        let args = Args::parse(&pipeline).unwrap();
+        let args = scan(&pipeline);
         let wf = parse_workflow("exponential", &args).unwrap();
         assert_eq!(wf.len(), 12);
 
@@ -323,7 +330,7 @@ mod tests {
             &["--shape", "diamond", "--width", "wide"],
         ] {
             let raw = raw(bad);
-            let args = Args::parse(&raw).unwrap();
+            let args = scan(&raw);
             assert!(parse_workflow("bimodal", &args).is_err(), "{bad:?}");
         }
     }
@@ -339,24 +346,25 @@ mod tests {
             "batch",
             "--enforcement",
             "instant",
-            "--threads",
-            "4",
         ]);
-        let args = Args::parse(&raw).unwrap();
+        let args = scan(&raw);
         let config = parse_sim_config(&args).unwrap();
         assert_eq!(config.churn.initial, 12);
         assert!(matches!(config.arrival, ArrivalModel::Batch));
         assert!(matches!(config.enforcement, EnforcementModel::InstantPeak));
-        assert_eq!(config.threads, 4);
         let bad = vec!["--workers".to_string(), "fixed:0".to_string()];
-        assert!(parse_sim_config(&Args::parse(&bad).unwrap()).is_err());
+        assert!(parse_sim_config(&scan(&bad)).is_err());
     }
 
     #[test]
-    fn threads_flag_parses_and_defaults_to_auto() {
-        let absent = raw(&["--seed", "1"]);
-        assert_eq!(Args::parse(&absent).unwrap().threads().unwrap(), 0);
-        let bad = raw(&["--threads", "many"]);
-        assert!(Args::parse(&bad).unwrap().threads().is_err());
+    fn flags_outside_the_accepted_list_are_rejected() {
+        let raw = raw(&["bimodal", "--seed", "7", "--plann", "heavy"]);
+        let err = Args::parse(&raw, &["seed"])
+            .err()
+            .expect("unknown flag rejected");
+        assert!(err.contains("unknown flag --plann"), "{err}");
+        assert!(Args::parse(&raw, &["seed", "plann"]).is_ok());
+        // A list without `seed` rejects even a flag every command knows.
+        assert!(Args::parse(&raw, &["plann"]).is_err());
     }
 }

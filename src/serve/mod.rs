@@ -57,8 +57,8 @@ pub struct ServeConfig {
     /// Pool size in §V-A-shaped workers (16 cores / 64 GB / 64 GB each);
     /// admission books against the aggregate capacity.
     pub workers: usize,
-    /// Worker threads for the sharded allocator paths; `0` auto-detects.
-    /// Thread count never changes any answer — only how fast it arrives.
+    /// Ignored: the daemon answers every request serially. The field stays
+    /// only for source compatibility with existing `ServeConfig` literals.
     pub threads: usize,
 }
 

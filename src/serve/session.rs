@@ -189,14 +189,10 @@ impl Session {
                 format!("task {task} was already submitted to `{tenant}`"),
             );
         }
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
-        let AppliedOp::Decisions(decisions) = t.apply(
-            AllocOp::PredictFirstBatch {
-                contexts: vec![TaskContext::new(CategoryId(category), features)],
-            },
-            threads,
-        ) else {
+        let AppliedOp::Decisions(decisions) = t.apply(AllocOp::PredictFirstBatch {
+            contexts: vec![TaskContext::new(CategoryId(category), features)],
+        }) else {
             unreachable!("a batch op yields decisions");
         };
         t.submitted.insert(task);
@@ -255,10 +251,8 @@ impl Session {
             );
         }
         let contexts: Vec<TaskContext> = built.tasks.iter().map(TaskContext::from).collect();
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
-        let AppliedOp::Decisions(decisions) =
-            t.apply(AllocOp::PredictFirstBatch { contexts }, threads)
+        let AppliedOp::Decisions(decisions) = t.apply(AllocOp::PredictFirstBatch { contexts })
         else {
             unreachable!("a batch op yields decisions");
         };
@@ -306,7 +300,6 @@ impl Session {
         else {
             return task_not_running(tenant, task);
         };
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
         let booking = t.running.remove(pos);
         // Same record a worker report produces in the engine: the time axis
@@ -315,15 +308,12 @@ impl Session {
             &TaskSpec::new(task, booking.category, peak, duration_s)
                 .with_features(booking.features),
         );
-        t.apply(AllocOp::Observe { record }, threads);
-        t.apply(
-            AllocOp::ObserveOutcome {
-                category: booking.category_id(),
-                outcome: AttemptFeedback::Success,
-                rack: None,
-            },
-            threads,
-        );
+        t.apply(AllocOp::Observe { record });
+        t.apply(AllocOp::ObserveOutcome {
+            category: booking.category_id(),
+            outcome: AttemptFeedback::Success,
+            rack: None,
+        });
         t.completed += 1;
         let admitted = self.registry.admit();
         Response::Completed {
@@ -369,27 +359,20 @@ impl Session {
         else {
             return task_not_running(tenant, task);
         };
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
         let booking = t.running.remove(pos);
-        t.apply(
-            AllocOp::ObserveOutcome {
-                category: booking.category_id(),
-                outcome: feedback,
-                rack: None,
-            },
-            threads,
-        );
+        t.apply(AllocOp::ObserveOutcome {
+            category: booking.category_id(),
+            outcome: feedback,
+            rack: None,
+        });
         t.faults += 1;
         let (alloc, infeasible) = if feedback == AttemptFeedback::Exhaustion {
-            let AppliedOp::Decision(decision) = t.apply(
-                AllocOp::PredictRetry {
-                    context: booking.context(),
-                    prev: booking.alloc,
-                    exhausted: mask,
-                },
-                threads,
-            ) else {
+            let AppliedOp::Decision(decision) = t.apply(AllocOp::PredictRetry {
+                context: booking.context(),
+                prev: booking.alloc,
+                exhausted: mask,
+            }) else {
                 unreachable!("a retry op yields one decision");
             };
             (decision.alloc, decision.infeasible)
@@ -425,17 +408,13 @@ impl Session {
         let Some(i) = self.registry.find(tenant) else {
             return unknown_tenant(tenant);
         };
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
-        let AppliedOp::Decisions(decisions) = t.apply(
-            AllocOp::PredictFirstBatch {
-                contexts: categories
-                    .iter()
-                    .map(|&c| TaskContext::from(CategoryId(c)))
-                    .collect(),
-            },
-            threads,
-        ) else {
+        let AppliedOp::Decisions(decisions) = t.apply(AllocOp::PredictFirstBatch {
+            contexts: categories
+                .iter()
+                .map(|&c| TaskContext::from(CategoryId(c)))
+                .collect(),
+        }) else {
             unreachable!("a batch op yields decisions");
         };
         Response::Predictions {
@@ -456,9 +435,7 @@ impl Session {
         let Some(i) = self.registry.find(tenant) else {
             return unknown_tenant(tenant);
         };
-        let threads = self.registry.threads;
-        let AppliedOp::Rebucketed(changed) =
-            self.registry.tenants[i].apply(AllocOp::RebucketAll, threads)
+        let AppliedOp::Rebucketed(changed) = self.registry.tenants[i].apply(AllocOp::RebucketAll)
         else {
             unreachable!("a rebucket op yields a count");
         };

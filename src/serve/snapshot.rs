@@ -108,8 +108,7 @@ impl ServeSnapshot {
 
     /// Rebuild a live registry: every tenant's allocator is built fresh and
     /// its journal replayed through it. `config.workers` is overridden by
-    /// the snapshot (the pool the books were admitted against); `threads`
-    /// is taken from `config` — thread count never changes results.
+    /// the snapshot (the pool the books were admitted against).
     pub(super) fn restore(&self, config: &ServeConfig) -> Result<Registry, String> {
         if self.version != SNAPSHOT_VERSION {
             return Err(format!(
@@ -119,12 +118,12 @@ impl ServeSnapshot {
         }
         let mut registry = Registry::new(&ServeConfig {
             workers: self.workers,
-            threads: config.threads,
+            ..*config
         });
         for snap in &self.tenants {
             let algorithm = algorithm_or_default(&snap.algorithm)?;
             let mut tenant = Tenant::new(snap.name.clone(), algorithm, snap.seed);
-            snap.log.replay(&mut tenant.allocator, registry.threads);
+            snap.log.replay(&mut tenant.allocator);
             tenant.log = snap.log.clone();
             tenant.running = snap.running.iter().map(Into::into).collect();
             tenant.queue = snap.queued.iter().map(Into::into).collect::<VecDeque<_>>();

@@ -126,15 +126,18 @@ impl Tenant {
     /// Journal `op` and apply it to the allocator, returning whatever the
     /// allocator returned. Keeping journaling and application in one place
     /// guarantees the journal is exactly the applied sequence.
-    pub fn apply(&mut self, op: AllocOp, threads: usize) -> AppliedOp {
+    pub fn apply(&mut self, op: AllocOp) -> AppliedOp {
         let result = match &op {
             AllocOp::Observe { record } => {
                 self.allocator.observe(record);
                 AppliedOp::Observed
             }
-            AllocOp::PredictFirstBatch { contexts } => {
-                AppliedOp::Decisions(self.allocator.predict_first_batch(contexts, threads))
-            }
+            AllocOp::PredictFirstBatch { contexts } => AppliedOp::Decisions(
+                contexts
+                    .iter()
+                    .map(|&c| self.allocator.predict_first(c))
+                    .collect(),
+            ),
             AllocOp::PredictRetry {
                 context,
                 prev,
@@ -149,7 +152,7 @@ impl Tenant {
                 AppliedOp::Observed
             }
             AllocOp::RebucketAll => {
-                AppliedOp::Rebucketed(self.allocator.rebucket_all(threads).len() as u64)
+                AppliedOp::Rebucketed(self.allocator.rebucket_all().len() as u64)
             }
         };
         self.log.push(op);
@@ -177,8 +180,6 @@ pub(super) struct Registry {
     pub workers: usize,
     /// Aggregate pool capacity (`workers ×` worker shape).
     pub capacity: ResourceVector,
-    /// Resolved worker-thread count for the sharded allocator paths.
-    pub threads: usize,
 }
 
 impl Registry {
@@ -190,7 +191,6 @@ impl Registry {
             capacity: WorkerSpec::paper_default()
                 .capacity
                 .scale(config.workers as f64),
-            threads: tora_alloc::par::resolve(config.threads),
         }
     }
 
@@ -277,7 +277,7 @@ mod tests {
     fn registry(workers: usize) -> Registry {
         Registry::new(&ServeConfig {
             workers,
-            threads: 1,
+            ..ServeConfig::default()
         })
     }
 

@@ -232,3 +232,33 @@ fn bad_input_fails_cleanly() {
     assert!(!ok);
     assert!(err.contains("n ≥ 1"), "{err}");
 }
+
+#[test]
+fn unknown_flags_are_rejected() {
+    // A typo'd flag, or one the subcommand does not read, must fail loudly
+    // instead of running with a default: `--plann` would otherwise run the
+    // default plan, and `--threads` is not a flag of any subcommand.
+    for args in [
+        &["simulate", "bimodal", "--tasks", "20", "--bogus", "3"][..],
+        &["chaos", "--quick", "--plann", "heavy"],
+        &["simulate", "bimodal", "--tasks", "20", "--threads", "7"],
+        &["trace", "bimodal", "--tasks", "20", "--threads", "1"],
+        &["serve", "--workers", "20", "--threads", "1"],
+        &["bench", "--quick", "--threads", "2"],
+        &["replay", "bimodal", "--tasks", "20", "--workers", "fixed:4"],
+        // Only `simulate` writes the event log.
+        &["chaos", "bimodal", "--tasks", "20", "--log", "events.jsonl"],
+    ] {
+        let (ok, out, err) = tora(args);
+        assert!(!ok, "tora {args:?} accepted an unknown flag: {out}");
+        let flag = args
+            .iter()
+            .rev()
+            .find(|a| a.starts_with("--"))
+            .expect("each case has a flag");
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "tora {args:?}: {err}"
+        );
+    }
+}

@@ -51,7 +51,7 @@ fn drive(session: &mut Session, requests: &[String]) -> Vec<String> {
 fn config() -> ServeConfig {
     ServeConfig {
         workers: 20,
-        threads: 1,
+        ..ServeConfig::default()
     }
 }
 
@@ -86,7 +86,7 @@ fn tenant_script(tenant: &str, seed: u64) -> Vec<String> {
 fn golden_transcript_is_byte_stable_across_runs() {
     let mut input = tenant_script("wf", 7).join("\n");
     input.push_str("\n{\"Stats\":{}}\n{\"Shutdown\":{}}\n");
-    let args = ["--workers", "20", "--threads", "1"];
+    let args = ["--workers", "20"];
     let first = serve_stdout(&args, &input);
     let second = serve_stdout(&args, &input);
     assert_eq!(first, second, "same requests, different responses");
@@ -109,9 +109,6 @@ fn golden_transcript_is_byte_stable_across_runs() {
             "no {tag} response in transcript:\n{first}"
         );
     }
-    // Thread count must not change a single byte.
-    let threaded = serve_stdout(&["--workers", "20", "--threads", "4"], &input);
-    assert_eq!(first, threaded, "responses depend on --threads");
 }
 
 /// Two tenants on one daemon: tenant a's responses must be byte-identical
@@ -265,7 +262,7 @@ fn the_binary_restores_from_a_snapshot_file() {
 
     let script = tenant_script("wf", 7);
     let (head, tail) = script.split_at(5);
-    let args = ["--workers", "20", "--threads", "1"];
+    let args = ["--workers", "20"];
 
     // Uninterrupted reference conversation.
     let mut full_input = script.join("\n");
@@ -282,10 +279,7 @@ fn the_binary_restores_from_a_snapshot_file() {
     // Second life: restore and finish the conversation.
     let mut second_input = tail.join("\n");
     second_input.push_str("\n{\"Shutdown\":{}}\n");
-    let resumed = serve_stdout(
-        &["--restore", snap_path, "--workers", "20", "--threads", "1"],
-        &second_input,
-    );
+    let resumed = serve_stdout(&["--restore", snap_path, "--workers", "20"], &second_input);
 
     let reference_tail: Vec<&str> = reference.lines().skip(head.len()).collect();
     let resumed_lines: Vec<&str> = resumed.lines().collect();

@@ -128,7 +128,7 @@ fn dag_shapes_stream_byte_identically() {
 /// and the materialized path — by the catalog source and by
 /// `with_dependencies` respectively. Any drift between the two minting
 /// paths would move their predictions, so pin byte-identity for both new
-/// algorithms across seeds, DAG shapes, and thread counts.
+/// algorithms across seeds and DAG shapes.
 #[test]
 fn feature_conditioned_comparators_stream_byte_identically() {
     let shapes = [
@@ -138,22 +138,19 @@ fn feature_conditioned_comparators_stream_byte_identically() {
     for algorithm in [AlgorithmKind::FeatureBinned, AlgorithmKind::SemiBandit] {
         for seed in SEEDS {
             for shape in shapes {
-                for threads in [1usize, 4] {
-                    let mut config = config_for(seed);
-                    config.faults = FaultPlan::named("heavy").expect("preset exists");
-                    config.threads = threads;
-                    let spec = PaperWorkflow::Bimodal.spec(seed).dag_shape(shape);
-                    let materialized = spec.materialize().expect("shaped spec is valid");
-                    let source = spec.stream().expect("generated DAG shapes stream");
-                    let from_workflow =
-                        fingerprint(Simulation::new(&materialized, algorithm, config), &config);
-                    let from_stream =
-                        fingerprint(Simulation::from_source(source, algorithm, config), &config);
-                    assert_eq!(
-                        from_workflow, from_stream,
-                        "{algorithm} {shape:?} seed {seed} threads {threads}: diverged"
-                    );
-                }
+                let mut config = config_for(seed);
+                config.faults = FaultPlan::named("heavy").expect("preset exists");
+                let spec = PaperWorkflow::Bimodal.spec(seed).dag_shape(shape);
+                let materialized = spec.materialize().expect("shaped spec is valid");
+                let source = spec.stream().expect("generated DAG shapes stream");
+                let from_workflow =
+                    fingerprint(Simulation::new(&materialized, algorithm, config), &config);
+                let from_stream =
+                    fingerprint(Simulation::from_source(source, algorithm, config), &config);
+                assert_eq!(
+                    from_workflow, from_stream,
+                    "{algorithm} {shape:?} seed {seed}: diverged"
+                );
             }
         }
     }
